@@ -29,7 +29,7 @@ from .histogram import (
     smooth_and_normalize,
     to_probability,
 )
-from .hspec import LevelMap, apply_map, equalize_image, equalize_map, rmshe, specify_map
+from .hspec import LevelMap, apply_map, equalize_map, map_histogram, rmshe, specify_map
 from .imagio import (
     LEVELS,
     GrayImage,
@@ -100,7 +100,6 @@ __all__ = [
     "defuzzify_mean",
     "domain_map",
     "domain_of",
-    "equalize_image",
     "equalize_map",
     "eval_mixture",
     "export_series",
@@ -110,6 +109,7 @@ __all__ = [
     "heuristic_init",
     "km_boundary_centroid",
     "load_image",
+    "map_histogram",
     "mixture_objective",
     "mv_area",
     "mv_center_of_weights",

@@ -108,11 +108,10 @@ def cmd_enhance(args) -> int:
         window=args.window,
         fit=FitConfig(rho=args.rho, max_iters=args.iters),
         fuzzifier=args.m,
-        export_intermediates=bool(args.export_dir),
     )
     result = run_enhance(img, cfg)
     save_image(result.enhanced, args.output)
-    if cfg.export_intermediates:
+    if args.export_dir:
         _export_intermediates(result, Path(args.export_dir))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.report:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import ProbabilityHistogram, compute_histogram, to_probability
+from .histogram import ProbabilityHistogram, RawHistogram
 from .imagio import LEVELS, GrayImage
 from .pdfgen import DesiredPDF
 
@@ -54,20 +54,31 @@ def specify_map(p_in: ProbabilityHistogram, p_target: DesiredPDF) -> LevelMap:
 
 def apply_map(img: GrayImage, level_map: LevelMap) -> GrayImage:
     """Remap every pixel through the level map."""
-    return GrayImage(img.width, img.height, level_map.values[img.pixels])
+    lut = level_map.values.astype(np.uint8)
+    return GrayImage(img.width, img.height, lut[img.pixels])
 
 
-def rmshe(img: GrayImage, depth: int = 2) -> GrayImage:
-    """Recursive mean-separate equalization.
+def map_histogram(raw: RawHistogram, level_map: LevelMap) -> RawHistogram:
+    """Histogram of the image remapped through level_map, from its counts alone.
+
+    Equals compute_histogram(apply_map(img, level_map)) for raw =
+    compute_histogram(img): the integer counts are summed exactly in float64.
+    """
+    counts = np.bincount(level_map.values, weights=raw.counts, minlength=LEVELS)
+    return RawHistogram(counts.astype(np.int64), raw.total)
+
+
+def rmshe(raw: RawHistogram, depth: int = 2) -> LevelMap:
+    """Level map of recursive mean-separate equalization.
 
     The gray range is split at the mean of the pixels inside each segment,
     repeated depth times (yielding up to 2**depth segments), and every
     segment is equalized onto its own gray range. depth 0 is plain
-    full-range equalization.
+    full-range equalization. Apply it with apply_map.
     """
     if not (0 <= depth <= _MAX_RMSHE_DEPTH):
         raise ValueError(f"depth must lie in [0, {_MAX_RMSHE_DEPTH}]")
-    counts = np.bincount(img.pixels, minlength=LEVELS).astype(float)
+    counts = raw.counts.astype(float)
     segments = [(0, LEVELS - 1)]
     for _ in range(depth):
         split = []
@@ -92,10 +103,4 @@ def rmshe(img: GrayImage, depth: int = 2) -> GrayImage:
             continue
         cdf = np.cumsum(seg) / total
         lut[lo:hi + 1] = lo + _round_half_up((hi - lo) * cdf).astype(np.int64)
-    return GrayImage(img.width, img.height, lut[img.pixels])
-
-
-def equalize_image(img: GrayImage) -> GrayImage:
-    """Plain histogram equalization of an image."""
-    p = to_probability(compute_histogram(img))
-    return apply_map(img, equalize_map(p))
+    return LevelMap(lut)

@@ -40,7 +40,8 @@ class GrayImage:
             )
         if not np.issubdtype(px.dtype, np.integer):
             raise ValueError("pixels must be integers")
-        if px.size and (px.min() < 0 or px.max() > LEVELS - 1):
+        # uint8 values cannot leave [0, 255], so only wider types are scanned
+        if px.dtype != np.uint8 and px.size and (px.min() < 0 or px.max() > LEVELS - 1):
             raise ValueError(f"pixel values must lie in [0, {LEVELS - 1}]")
         object.__setattr__(self, "pixels", px.astype(np.uint8))
 

@@ -20,7 +20,7 @@ from .histogram import (
     smooth_and_normalize,
     to_probability,
 )
-from .hspec import LevelMap, apply_map, equalize_map, rmshe, specify_map
+from .hspec import LevelMap, apply_map, equalize_map, map_histogram, rmshe, specify_map
 from .imagio import LEVELS, GrayImage
 from .membership import (
     IT2MembershipValues,
@@ -52,7 +52,6 @@ class PipelineConfig:
     window: int = 5
     fit: FitConfig = field(default_factory=FitConfig)
     fuzzifier: float = 2.0
-    export_intermediates: bool = False
 
     def __post_init__(self):
         if self.mv_method not in METHODS:
@@ -140,7 +139,7 @@ def run_enhance(img: GrayImage, cfg: PipelineConfig, mv_override=None) -> Pipeli
     level_map = _stage("specification", specify_map, p_in, desired)
     enhanced = _stage("specification", apply_map, img, level_map)
     aic_in = aic(p_in)
-    aic_out = aic(to_probability(compute_histogram(enhanced)))
+    aic_out = aic(to_probability(map_histogram(raw, level_map)))
     return PipelineResult(
         enhanced=enhanced,
         desired_pdf=desired,
@@ -163,6 +162,9 @@ def run_compare(img: GrayImage, cfg: PipelineConfig | None = None,
     The mixture fit and footprint of uncertainty are shared across the four
     methods (they only diverge from the membership stage on), which leaves
     the per-method results identical to standalone run_enhance calls.
+    Every method is a per-level map, so its output histogram comes from the
+    input counts and the map (map_histogram): the pixels are read once, by
+    the input histogram, and no output image is built.
     Per-method failures are recorded instead of aborting the report.
     """
     if cfg is None:
@@ -171,22 +173,16 @@ def run_compare(img: GrayImage, cfg: PipelineConfig | None = None,
     p_in = to_probability(raw)
     report = AICReport(input_aic=aic(p_in), methods={})
 
-    def timed(name, fn):
+    def score(name, make_map):
         start = time.perf_counter()
         try:
-            out = fn()
+            report.methods[name] = aic(to_probability(map_histogram(raw, make_map())))
         except Exception as exc:
             report.errors[name] = str(exc)
-            out = None
         report.timings_ms[name] = (time.perf_counter() - start) * 1000.0
-        return out
 
-    he_img = timed("he", lambda: apply_map(img, equalize_map(p_in)))
-    if he_img is not None:
-        report.methods["he"] = aic(to_probability(compute_histogram(he_img)))
-    rm_img = timed("rmshe", lambda: rmshe(img, rmshe_depth))
-    if rm_img is not None:
-        report.methods["rmshe"] = aic(to_probability(compute_histogram(rm_img)))
+    score("he", lambda: equalize_map(p_in))
+    score("rmshe", lambda: rmshe(raw, rmshe_depth))
 
     try:
         smoothed = smooth_and_normalize(raw, cfg.window)
@@ -207,10 +203,7 @@ def run_compare(img: GrayImage, cfg: PipelineConfig | None = None,
                 mv = _membership_values(fou, mixture, smoothed, method_cfg, None)
                 desired = _target_pdf(mv, fou)
             report.warnings.extend(str(w.message) for w in caught)
-            out = apply_map(img, specify_map(p_in, desired))
-            return aic(to_probability(compute_histogram(out)))
+            return specify_map(p_in, desired)
 
-        value = timed(method, one)
-        if value is not None:
-            report.methods[method] = value
+        score(method, one)
     return report

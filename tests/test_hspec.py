@@ -10,6 +10,7 @@ from it2hspec.hspec import (
     LevelMap,
     apply_map,
     equalize_map,
+    map_histogram,
     rmshe,
     specify_map,
 )
@@ -108,6 +109,25 @@ class TestApplyMap:
         assert np.array_equal(compute_histogram(out).counts, pushed)
 
 
+class TestMapHistogram:
+    def test_matches_histogram_of_remapped_image(self):
+        rng = np.random.default_rng(8)
+        spiky = np.concatenate([np.zeros(300, int), np.full(300, 255),
+                                rng.integers(0, 256, 424)])
+        for px in (rng.integers(0, 256, 1024), rng.integers(90, 110, 1024), spiky,
+                   np.full(1024, 42), 17 * rng.integers(0, 16, 1024)):
+            img = GrayImage(32, 32, px)
+            raw = compute_histogram(img)
+            maps = [LevelMap(np.arange(256)), LevelMap(np.full(256, 9)),
+                    LevelMap(np.sort(rng.integers(0, 256, 256))),
+                    equalize_map(to_probability(raw)), rmshe(raw, 2)]
+            for lm in maps:
+                pushed = map_histogram(raw, lm)
+                assert np.array_equal(pushed.counts,
+                                      compute_histogram(apply_map(img, lm)).counts)
+                assert pushed.total == raw.total
+
+
 class TestLevelMap:
     def test_non_monotone_rejected(self):
         values = np.arange(256)
@@ -125,12 +145,13 @@ class TestRmshe:
         rng = np.random.default_rng(6)
         img = GrayImage(32, 32, rng.integers(20, 200, 1024))
         he = apply_map(img, equalize_map(to_probability(compute_histogram(img))))
-        assert np.array_equal(rmshe(img, 0).pixels, he.pixels)
+        out = apply_map(img, rmshe(compute_histogram(img), 0))
+        assert np.array_equal(out.pixels, he.pixels)
 
     def test_constant_image_stays_constant(self):
         img = GrayImage(8, 8, np.full(64, 77))
         for depth in range(5):
-            out = rmshe(img, depth)
+            out = apply_map(img, rmshe(compute_histogram(img), depth))
             assert len(np.unique(out.pixels)) == 1
 
     def test_depth_one_respects_segment_ranges(self):
@@ -142,7 +163,7 @@ class TestRmshe:
         counts = compute_histogram(img).counts
         mean = float(counts @ np.arange(256)) / counts.sum()
         split = int(np.floor(mean))
-        out = rmshe(img, 1)
+        out = apply_map(img, rmshe(compute_histogram(img), 1))
         was_dark = img.pixels <= split
         assert out.pixels[was_dark].max() <= split
         assert out.pixels[~was_dark].min() >= split + 1
@@ -150,6 +171,6 @@ class TestRmshe:
     def test_depth_above_four_rejected(self):
         img = GrayImage(2, 2, np.array([0, 1, 2, 3]))
         with pytest.raises(ValueError):
-            rmshe(img, 5)
+            rmshe(compute_histogram(img), 5)
         with pytest.raises(ValueError):
-            rmshe(img, -1)
+            rmshe(compute_histogram(img), -1)

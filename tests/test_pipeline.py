@@ -1,9 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import it2hspec.cli
+import it2hspec.pipeline
 from it2hspec.gaussfit import FitConfig
 from it2hspec.histogram import compute_histogram, to_probability
-from it2hspec.hspec import apply_map, equalize_map
+from it2hspec.hspec import apply_map, equalize_map, rmshe
 from it2hspec.imagio import GrayImage
 from it2hspec.membership import KMMembershipValues
 from it2hspec.metrics import aic
@@ -21,6 +26,29 @@ LIGHT_FIT = FitConfig(max_iters=800)
 
 def light_cfg(method):
     return PipelineConfig(method, fit=LIGHT_FIT)
+
+
+def oracle_images():
+    """Seeded bimodal images plus the degenerate shapes, one param each."""
+    rng = np.random.default_rng(21)
+    images = [pytest.param(population_image(
+        rng, [(0.6, 90.0 + 10 * i, 12.0), (0.4, 170.0, 14.0)], size=64, bg_frac=0.1),
+        id=f"bimodal-{i}") for i in range(3)]
+    spike = np.concatenate([np.zeros(1200, int), np.full(1200, 255),
+                            np.clip(rng.normal(128, 20, 1696), 0, 255).astype(int)])
+    images += [
+        pytest.param(GrayImage(16, 16, np.full(256, 93)), id="constant"),
+        pytest.param(GrayImage(1, 1, np.array([128])), id="one-pixel"),
+        pytest.param(GrayImage(16, 16, np.repeat([40, 200], 128)), id="two-level"),
+        pytest.param(GrayImage(64, 64, rng.permutation(spike)), id="spike-0-255"),
+        pytest.param(GrayImage(64, 64, 17 * rng.integers(0, 16, 4096)), id="sparse-levels"),
+    ]
+    return images
+
+
+def pixel_path_aic(img, level_map):
+    """Output entropy the slow way: remap every pixel, then histogram."""
+    return aic(to_probability(compute_histogram(apply_map(img, level_map))))
 
 
 class TestRunEnhance:
@@ -142,6 +170,36 @@ class TestRunCompare:
             standalone = run_enhance(img, light_cfg(method))
             assert report.methods[method] == pytest.approx(
                 standalone.aic_out, abs=1e-12)
+
+
+@pytest.mark.parametrize("img", oracle_images())
+def test_entropies_equal_pixel_path_exactly(img):
+    report = run_compare(img, PipelineConfig(fit=LIGHT_FIT))
+    assert not report.errors
+    raw = compute_histogram(img)
+    assert report.methods["he"] == pixel_path_aic(img, equalize_map(to_probability(raw)))
+    assert report.methods["rmshe"] == pixel_path_aic(img, rmshe(raw, 2))
+    for method in METHODS:
+        result = run_enhance(img, light_cfg(method))
+        expected = pixel_path_aic(img, result.level_map)
+        assert result.aic_out == expected
+        assert report.methods[method] == expected
+
+
+def test_benchmark_trace_names_resolve():
+    """perfbench/layers.py rebinds these names by getattr; a rename would
+    otherwise show only as every benchmark operation failing."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for module, calls in ((it2hspec.pipeline, layers.PIPELINE_CALLS),
+                          (it2hspec.cli, layers.CLI_CALLS)):
+        missing = [name for name in calls if not callable(getattr(module, name, None))]
+        assert not missing, f"{module.__name__} lacks {missing}"
+    table = getattr(it2hspec.pipeline, layers.PIPELINE_MEMBERSHIP_TABLE)
+    assert set(table) == set(METHODS) - {"km"}
+    assert all(callable(fn) for fn in table.values())
 
 
 class TestPipelineConfig:
