@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .gaussfit import FitConfig, eval_mixture
-from .imagio import LEVELS, SeriesExport, export_series, load_image, save_image
+from .histogram import GRID
+from .imagio import SeriesExport, export_series, load_image, save_image
 from .membership import KMMembershipValues
 from .pipeline import (
     METHODS,
     PipelineConfig,
-    PipelineStageError,
     run_compare,
     run_enhance,
 )
@@ -82,11 +82,10 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 
 def _export_intermediates(result, export_dir: Path) -> None:
     export_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.arange(LEVELS, dtype=float)
     pairs = [
         ("histogram", result.raw_hist.counts.astype(float)),
         ("smoothed", result.smoothed.h),
-        ("mixture", eval_mixture(result.mixture, grid)),
+        ("mixture", eval_mixture(result.mixture, GRID)),
         ("umf", result.fou.umf),
         ("lmf", result.fou.lmf),
     ]
@@ -161,6 +160,7 @@ def cmd_compare(args) -> int:
             "errors": report.errors,
             "warnings": report.warnings,
             "ms": elapsed_ms,
+            "model_ms": report.timings_ms.get("model"),
         }
         entries.append(entry)
         proposed = [report.methods[m] for m in METHODS if m in report.methods]
@@ -187,9 +187,6 @@ def main(argv=None) -> int:
         if args.command == "enhance":
             return cmd_enhance(args)
         return cmd_compare(args)
-    except PipelineStageError as exc:
-        print(f"it2hspec: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"it2hspec: {exc}", file=sys.stderr)
         return 1

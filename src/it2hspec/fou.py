@@ -10,10 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussfit import FitConfig, MixtureFit, eval_mixture, fit_mixture
-from .histogram import NormalizedHistogram
+from .histogram import GRID, as_series
 from .imagio import LEVELS
-
-_GRID = np.arange(LEVELS, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,8 @@ def bound_functions(h, fit: MixtureFit):
 
     Returns (upper, lower) arrays over all 256 levels.
     """
-    values = h.h if isinstance(h, NormalizedHistogram) else np.asarray(h, dtype=float)
-    curve = eval_mixture(fit, _GRID)
+    values = as_series(h)
+    curve = eval_mixture(fit, GRID)
     return np.maximum(curve, values), np.minimum(curve, values)
 
 
@@ -59,6 +57,6 @@ def extract_fou(h, fit: MixtureFit, cfg: FitConfig) -> FOU:
     upper, lower = bound_functions(h, fit)
     umf_fit = fit_mixture(upper, fit, cfg)
     lmf_fit = fit_mixture(lower, fit, cfg)
-    u = eval_mixture(umf_fit, _GRID)
-    l = eval_mixture(lmf_fit, _GRID)
+    u = eval_mixture(umf_fit, GRID)
+    l = eval_mixture(lmf_fit, GRID)
     return FOU(umf_fit, lmf_fit, np.maximum(u, l), np.minimum(u, l))

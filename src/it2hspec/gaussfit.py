@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .histogram import NormalizedHistogram
+from .histogram import GRID, as_series
 from .imagio import LEVELS
 
 A_MIN = 1e-6
@@ -34,8 +34,6 @@ SIGMA_MIN = 0.5
 SIGMA_MAX = 256.0
 MU_MIN = 0.0
 MU_MAX = float(LEVELS - 1)
-
-_GRID = np.arange(LEVELS, dtype=float)
 
 _POLY_DEGREES = (4, 6, 8, 10, 12)
 _POLY_RMS_TARGET = 0.05
@@ -89,13 +87,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class MixtureFit:
-    """Fitted sum of Gaussians with partition points and dominance reaches."""
+    """Fitted sum of Gaussians with partition points and dominance reaches.
+
+    iterations counts descent steps over all restarts (0 for an init).
+    """
 
     gaussians: list
     partition_points: list = field(default_factory=list)
     reaches: list = field(default_factory=list)
     final_objective: float = 0.0
     diverged: bool = False
+    iterations: int = 0
+    restarts: int = 0
 
     def __post_init__(self):
         if not self.gaussians:
@@ -107,14 +110,6 @@ class MixtureFit:
     @property
     def n_components(self) -> int:
         return len(self.gaussians)
-
-
-def _as_series(h) -> np.ndarray:
-    values = h.h if isinstance(h, NormalizedHistogram) else np.asarray(h, dtype=float)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != LEVELS:
-        raise ValueError(f"expected a {LEVELS}-value series, got {values.size}")
-    return values
 
 
 def _arrays(fit: MixtureFit):
@@ -141,14 +136,14 @@ def eval_mixture(fit: MixtureFit, g):
 def component_values(fit: MixtureFit, g=None) -> np.ndarray:
     """Per-component values, shape (n_components, len(g)); g defaults to 0..255."""
     a, mu, sg = _arrays(fit)
-    gs = _GRID if g is None else np.atleast_1d(np.asarray(g, dtype=float))
+    gs = GRID if g is None else np.atleast_1d(np.asarray(g, dtype=float))
     return _component_matrix(a, mu, sg, gs)
 
 
 def mixture_objective(fit: MixtureFit, h) -> float:
     """Half the summed squared residual between the mixture and the series."""
-    target = _as_series(h)
-    r = eval_mixture(fit, _GRID) - target
+    target = as_series(h)
+    r = eval_mixture(fit, GRID) - target
     return 0.5 * float(r @ r)
 
 
@@ -190,7 +185,8 @@ def _reach_intervals(a, mu, sg) -> list:
     return list(zip(starts, ends))
 
 
-def _pack(a, mu, sg, objective: float, diverged: bool) -> MixtureFit:
+def _pack(a, mu, sg, objective: float, diverged: bool = False, iterations: int = 0,
+          restarts: int = 0) -> MixtureFit:
     order = np.argsort(mu, kind="stable")
     a, mu, sg = a[order], mu[order], sg[order]
     gaussians = [
@@ -198,7 +194,8 @@ def _pack(a, mu, sg, objective: float, diverged: bool) -> MixtureFit:
     ]
     partition = [0.5 * (mu[i] + mu[i + 1]) for i in range(len(mu) - 1)]
     reaches = _reach_intervals(a, mu, sg)
-    return MixtureFit(gaussians, partition, reaches, float(objective), diverged)
+    return MixtureFit(gaussians, partition, reaches, float(objective), diverged,
+                      iterations, restarts)
 
 
 def compute_reaches(fit: MixtureFit) -> MixtureFit:
@@ -220,13 +217,13 @@ def domain_map(fit: MixtureFit) -> np.ndarray:
     if not fit.reaches:
         raise ValueError("reaches have not been computed")
     ends = np.array([r[1] for r in fit.reaches[:-1]])
-    return np.searchsorted(ends, np.arange(LEVELS), side="left")
+    return np.searchsorted(ends, GRID, side="left")
 
 
 def _polynomial_sketch(values: np.ndarray) -> Polynomial:
     for degree in _POLY_DEGREES:
-        poly = Polynomial.fit(_GRID, values, degree)
-        rms = float(np.sqrt(np.mean((poly(_GRID) - values) ** 2)))
+        poly = Polynomial.fit(GRID, values, degree)
+        rms = float(np.sqrt(np.mean((poly(GRID) - values) ** 2)))
         if rms < _POLY_RMS_TARGET:
             break
     return poly
@@ -261,14 +258,14 @@ def heuristic_init(h, cfg: FitConfig) -> MixtureFit:
     With no usable peaks, a single component at the histogram argmax with
     sigma 32 is used instead.
     """
-    values = _as_series(h)
+    values = as_series(h)
     if not np.any(values > 0):
         raise ValueError("cannot initialize from an all-zero histogram")
     poly = _polynomial_sketch(values)
     maxima, minima = _critical_points(poly)
     peaks = maxima[poly(maxima) > 0] if maxima.size else maxima
     if peaks.size:
-        global_max = max(float(poly(_GRID).max()), float(poly(peaks).max()))
+        global_max = max(float(poly(GRID).max()), float(poly(peaks).max()))
         peaks = peaks[poly(peaks) >= cfg.peak_ignore_ratio * global_max]
     if peaks.size == 0:
         top = int(np.argmax(values))
@@ -284,7 +281,7 @@ def heuristic_init(h, cfg: FitConfig) -> MixtureFit:
         else:
             dist = np.full(mu.shape, _FALLBACK_SIGMA)
         sg = np.clip(dist, SIGMA_MIN, SIGMA_MAX)
-    fit = _pack(a, mu, sg, 0.0, False)
+    fit = _pack(a, mu, sg, 0.0)
     return dataclasses.replace(fit, final_objective=mixture_objective(fit, values))
 
 
@@ -315,7 +312,7 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
 
     def state(p):
         a, mu, sg = p[:k], p[k:2 * k], p[2 * k:]
-        d = _GRID[None, :] - mu[:, None]
+        d = GRID[None, :] - mu[:, None]
         e = np.exp(-0.5 * (d / sg[:, None]) ** 2)
         f = a[:, None] * e
         r = f.sum(axis=0) - target
@@ -324,10 +321,9 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
     p = p_init.copy()
     terms, j_cur = state(p)
     best_p, best_j = p.copy(), j_cur
-    grow = 0
-    restarts = 0
+    grow = restarts = iterations = 0
     diverged = False
-    for _ in range(max_iters):
+    for iterations in range(1, max_iters + 1):
         p = np.clip(p - rho * _step_direction(*terms), lo, hi)
         terms, j_new = state(p)
         if j_new < best_j:
@@ -350,7 +346,8 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
             p = p_init.copy()
             terms, j_cur = state(p)
             grow = 0
-    return best_p[:k], best_p[k:2 * k], best_p[2 * k:], best_j, diverged
+    return (best_p[:k], best_p[k:2 * k], best_p[2 * k:], best_j, diverged, iterations,
+            restarts)
 
 
 def fit_mixture(h, init: MixtureFit, cfg: FitConfig) -> MixtureFit:
@@ -367,13 +364,5 @@ def fit_mixture(h, init: MixtureFit, cfg: FitConfig) -> MixtureFit:
     normal exit returns, so the reported objective never exceeds the
     initial one.
     """
-    if not init.gaussians:
-        raise ValueError("init must contain at least one component")
-    target = _as_series(h)
-    a0, mu0, sg0 = _arrays(init)
-    if cfg.max_iters == 0:
-        residual = _component_matrix(a0, mu0, sg0, _GRID).sum(axis=0) - target
-        return _pack(a0, mu0, sg0, 0.5 * float(residual @ residual), False)
-    a, mu, sg, best_j, diverged = _descent(
-        target, a0, mu0, sg0, float(cfg.rho), int(cfg.max_iters), float(cfg.tol))
-    return _pack(a, mu, sg, best_j, diverged)
+    return _pack(*_descent(as_series(h), *_arrays(init), float(cfg.rho),
+                           int(cfg.max_iters), float(cfg.tol)))

@@ -11,6 +11,8 @@ import numpy as np
 
 from .imagio import LEVELS, GrayImage
 
+GRID = np.arange(LEVELS, dtype=float)
+
 
 @dataclass(frozen=True)
 class RawHistogram:
@@ -67,6 +69,15 @@ class NormalizedHistogram:
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be an odd positive integer")
         object.__setattr__(self, "h", h)
+
+
+def as_series(h) -> np.ndarray:
+    """The 256 float values of a NormalizedHistogram or of any array-like."""
+    values = h.h if isinstance(h, NormalizedHistogram) else h
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size != LEVELS:
+        raise ValueError(f"expected a {LEVELS}-value series, got {values.size}")
+    return values
 
 
 def compute_histogram(img: GrayImage) -> RawHistogram:

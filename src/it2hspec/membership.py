@@ -13,10 +13,8 @@ import numpy as np
 
 from .fou import FOU
 from .gaussfit import MixtureFit, component_values, domain_map
-from .histogram import NormalizedHistogram
+from .histogram import GRID, as_series
 from .imagio import LEVELS
-
-_GRID = np.arange(LEVELS, dtype=float)
 
 _KM_TOL = 1e-9
 _KM_MAX_ITERS = 100
@@ -92,17 +90,9 @@ class KMMembershipValues:
         object.__setattr__(self, "mv", mv)
 
 
-def _series(h) -> np.ndarray:
-    values = h.h if isinstance(h, NormalizedHistogram) else np.asarray(h, dtype=float)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != LEVELS:
-        raise ValueError(f"expected a {LEVELS}-value series")
-    return values
-
-
 def mv_pointwise(fit: MixtureFit, h) -> np.ndarray:
     """1 minus the absolute gap between the dominant component and the histogram."""
-    values = _series(h)
+    values = as_series(h)
     comps = component_values(fit)
     dominant = comps[domain_map(fit), np.arange(LEVELS)]
     return np.clip(1.0 - np.abs(dominant - values), 0.0, 1.0)
@@ -113,7 +103,7 @@ def mv_center_of_weights(fit: MixtureFit, h) -> np.ndarray:
 
     Components whose overlap is empty get value 0 and raise ZeroOverlapWarning.
     """
-    values = _series(h)
+    values = as_series(h)
     comps = component_values(fit)
     overlap = np.minimum(comps, values)
     per_component = np.zeros(fit.n_components)
@@ -126,7 +116,7 @@ def mv_center_of_weights(fit: MixtureFit, h) -> np.ndarray:
                 stacklevel=2,
             )
             continue
-        center = float(overlap[i] @ _GRID) / mass
+        center = float(overlap[i] @ GRID) / mass
         z = (center - gauss.mu) / gauss.sigma
         per_component[i] = min(max(gauss.a * np.exp(-0.5 * z * z), 0.0), 1.0)
     return per_component[domain_map(fit)]
@@ -134,7 +124,7 @@ def mv_center_of_weights(fit: MixtureFit, h) -> np.ndarray:
 
 def mv_area(fit: MixtureFit, h) -> np.ndarray:
     """Overlap area of each component with the histogram, relative to its own area."""
-    values = _series(h)
+    values = as_series(h)
     comps = component_values(fit)
     areas = comps.sum(axis=1)
     if np.any(areas <= 0):

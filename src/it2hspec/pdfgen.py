@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussfit import MixtureFit, domain_map
+from .histogram import GRID
 from .imagio import LEVELS
 from .membership import KMMembershipValues
 
 _TOP = float(LEVELS - 1)
-_GRID = np.arange(LEVELS, dtype=float)
 
 PDF_SOURCES = ("it2_upper", "it2_lower", "it2_mean", "km")
 
@@ -77,11 +77,11 @@ def raw_pdf_it2(mv, fit: MixtureFit, source: str) -> RawPDF:
     mus = np.array([g.mu for g in fit.gaussians])[dom]
     starts = np.array([r[0] for r in fit.reaches], dtype=float)[dom]
     ends = np.array([r[1] for r in fit.reaches], dtype=float)[dom]
-    below = _GRID < mus
+    below = GRID < mus
     values = np.where(
         below,
-        _TOP + 2.0 * mv * (0.5 * (mus + starts) - _GRID),
-        _TOP - 2.0 * mv * (0.5 * (mus + ends) - _GRID),
+        _TOP + 2.0 * mv * (0.5 * (mus + starts) - GRID),
+        _TOP - 2.0 * mv * (0.5 * (mus + ends) - GRID),
     )
     return RawPDF(values, source)
 
@@ -91,7 +91,7 @@ def raw_pdf_km(mv: KMMembershipValues) -> RawPDF:
     values = np.empty(LEVELS)
     for cluster in mv.clusters.clusters:
         sl = slice(cluster.start, cluster.end + 1)
-        x = _GRID[sl]
+        x = GRID[sl]
         weights = mv.mv[sl]
         below = x < cluster.v_center
         values[sl] = np.where(

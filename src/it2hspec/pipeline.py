@@ -1,8 +1,12 @@
 """End-to-end enhancement pipeline and the method-comparison harness.
 
-run_enhance chains: histogram -> smoothing -> mixture init/fit -> footprint
-of uncertainty -> membership values -> target PDF -> specification. Every
-stage failure is re-raised as PipelineStageError tagged with the stage name.
+build_model turns the input counts into the method-independent model:
+smoothing -> mixture init/fit -> footprint of uncertainty. apply_method takes
+it through one method's membership values and target PDF to a level map.
+run_enhance is histogram + build_model + apply_method + apply_map;
+run_compare is one histogram, one build_model and four apply_method calls.
+Every stage failure is re-raised as PipelineStageError tagged with the
+stage name; .reason is the failure's own message.
 """
 
 import time
@@ -15,6 +19,7 @@ from .fou import FOU, extract_fou
 from .gaussfit import FitConfig, MixtureFit, fit_mixture, heuristic_init
 from .histogram import (
     NormalizedHistogram,
+    ProbabilityHistogram,
     RawHistogram,
     compute_histogram,
     smooth_and_normalize,
@@ -44,6 +49,7 @@ class PipelineStageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
+        self.reason = message
 
 
 @dataclass
@@ -75,6 +81,18 @@ class PipelineResult:
     warnings: list = field(default_factory=list)
 
 
+@dataclass
+class HistogramModel:
+    """Everything the four methods share; a function of the counts alone."""
+
+    raw: RawHistogram
+    p_in: ProbabilityHistogram
+    smoothed: NormalizedHistogram
+    mixture: MixtureFit
+    fou: FOU
+    notes: list
+
+
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -84,74 +102,74 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineStageError(name, str(exc)) from exc
 
 
-def _membership_values(fou: FOU, mixture: MixtureFit, smoothed, cfg: PipelineConfig,
-                       mv_override):
-    if cfg.mv_method == "km":
-        values = mv_km(fou, mixture.partition_points, cfg.fuzzifier)
-        if mv_override is not None:
-            override = np.full(LEVELS, float(mv_override))
-            values = KMMembershipValues(override, values.clusters)
-        return values
-    fn = _IT2_FN[cfg.mv_method]
-    upper = fn(fou.umf_fit, smoothed)
-    lower = fn(fou.lmf_fit, smoothed)
-    if mv_override is not None:
-        upper = np.full(LEVELS, float(mv_override))
-        lower = np.full(LEVELS, float(mv_override))
-    return IT2MembershipValues(upper, lower, cfg.mv_method)
-
-
-def _target_pdf(mv, fou: FOU) -> DesiredPDF:
-    if isinstance(mv, KMMembershipValues):
-        raw = raw_pdf_km(mv)
-    else:
-        upper = raw_pdf_it2(mv.upper, fou.umf_fit, "it2_upper")
-        lower = raw_pdf_it2(mv.lower, fou.lmf_fit, "it2_lower")
-        raw = defuzzify_mean(upper, lower)
-    return finalize_pdf(raw)
-
-
-def run_enhance(img: GrayImage, cfg: PipelineConfig, mv_override=None) -> PipelineResult:
-    """Run the full five-stage enhancement for the configured method.
-
-    mv_override, when set, replaces every membership value with a constant;
-    it exists as a diagnostic hook (0 degenerates the pipeline to plain
-    equalization up to rounding).
-    """
-    notes = []
-    raw = _stage("histogram", compute_histogram, img)
+def build_model(raw: RawHistogram, cfg: PipelineConfig) -> HistogramModel:
+    """The model shared by every method; notes name each divergent fit."""
     p_in = _stage("histogram", to_probability, raw)
     smoothed = _stage("smoothing", smooth_and_normalize, raw, cfg.window)
     init = _stage("initialization", heuristic_init, smoothed, cfg.fit)
     mixture = _stage("mixture_fit", fit_mixture, smoothed, init, cfg.fit)
+    notes = []
     if mixture.diverged:
         notes.append("mixture fit flagged divergent; best parameters kept")
     fou = _stage("fou", extract_fou, smoothed, mixture, cfg.fit)
     for name, refit in (("upper", fou.umf_fit), ("lower", fou.lmf_fit)):
         if refit.diverged:
             notes.append(f"{name} membership refit flagged divergent")
+    return HistogramModel(raw, p_in, smoothed, mixture, fou, notes)
+
+
+def apply_method(model: HistogramModel, method: str, fuzzifier: float, mv_override=None):
+    """One method's membership values, target PDF and level map.
+
+    Returns (mv, desired_pdf, level_map, warnings), warnings being the
+    messages of the warnings raised on the way. mv_override, when set,
+    replaces every membership value with a constant; it exists as a
+    diagnostic hook (0 degenerates the pipeline to plain equalization up to
+    rounding).
+    """
+    fou = model.fou
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mv = _stage("membership", _membership_values, fou, mixture, smoothed, cfg,
-                    mv_override)
-        desired = _stage("pdf", _target_pdf, mv, fou)
-    notes.extend(str(w.message) for w in caught)
-    level_map = _stage("specification", specify_map, p_in, desired)
+        if method == "km":
+            mv = _stage("membership", mv_km, fou, model.mixture.partition_points, fuzzifier)
+            if mv_override is not None:
+                mv = _stage("membership", KMMembershipValues,
+                            np.full(LEVELS, float(mv_override)), mv.clusters)
+            raw_pdf = _stage("pdf", raw_pdf_km, mv)
+        else:
+            fn = _IT2_FN[method]
+            upper = _stage("membership", fn, fou.umf_fit, model.smoothed)
+            lower = _stage("membership", fn, fou.lmf_fit, model.smoothed)
+            if mv_override is not None:
+                upper = lower = np.full(LEVELS, float(mv_override))
+            mv = _stage("membership", IT2MembershipValues, upper, lower, method)
+            raw_pdf = _stage("pdf", defuzzify_mean,
+                             _stage("pdf", raw_pdf_it2, mv.upper, fou.umf_fit, "it2_upper"),
+                             _stage("pdf", raw_pdf_it2, mv.lower, fou.lmf_fit, "it2_lower"))
+        desired = _stage("pdf", finalize_pdf, raw_pdf)
+    level_map = _stage("specification", specify_map, model.p_in, desired)
+    return mv, desired, level_map, [str(w.message) for w in caught]
+
+
+def run_enhance(img: GrayImage, cfg: PipelineConfig, mv_override=None) -> PipelineResult:
+    """Run the full five-stage enhancement; mv_override as in apply_method."""
+    raw = _stage("histogram", compute_histogram, img)
+    model = build_model(raw, cfg)
+    mv, desired, level_map, caught = apply_method(model, cfg.mv_method, cfg.fuzzifier,
+                                                  mv_override)
     enhanced = _stage("specification", apply_map, img, level_map)
-    aic_in = aic(p_in)
-    aic_out = aic(to_probability(map_histogram(raw, level_map)))
     return PipelineResult(
         enhanced=enhanced,
         desired_pdf=desired,
-        fou=fou,
+        fou=model.fou,
         mv=mv,
-        aic_in=aic_in,
-        aic_out=aic_out,
+        aic_in=aic(model.p_in),
+        aic_out=aic(to_probability(map_histogram(raw, level_map))),
         raw_hist=raw,
-        smoothed=smoothed,
-        mixture=mixture,
+        smoothed=model.smoothed,
+        mixture=model.mixture,
         level_map=level_map,
-        warnings=notes,
+        warnings=model.notes + caught,
     )
 
 
@@ -159,12 +177,12 @@ def run_compare(img: GrayImage, cfg: PipelineConfig | None = None,
                 rmshe_depth: int = 2) -> AICReport:
     """Entropy of the baselines and of all four proposed methods.
 
-    The mixture fit and footprint of uncertainty are shared across the four
-    methods (they only diverge from the membership stage on), which leaves
-    the per-method results identical to standalone run_enhance calls.
-    Every method is a per-level map, so its output histogram comes from the
-    input counts and the map (map_histogram): the pixels are read once, by
-    the input histogram, and no output image is built.
+    One build_model serves the four methods (they only diverge from the
+    membership stage on), so the per-method results equal standalone
+    run_enhance calls; its time is timings_ms["model"]. Every method is a
+    per-level map, so its output histogram comes from the input counts and
+    the map (map_histogram): the pixels are read once, by the input
+    histogram, and no output image is built.
     Per-method failures are recorded instead of aborting the report.
     """
     if cfg is None:
@@ -178,32 +196,27 @@ def run_compare(img: GrayImage, cfg: PipelineConfig | None = None,
         try:
             report.methods[name] = aic(to_probability(map_histogram(raw, make_map())))
         except Exception as exc:
-            report.errors[name] = str(exc)
+            report.errors[name] = (exc.reason if isinstance(exc, PipelineStageError)
+                                   else str(exc))
         report.timings_ms[name] = (time.perf_counter() - start) * 1000.0
 
     score("he", lambda: equalize_map(p_in))
     score("rmshe", lambda: rmshe(raw, rmshe_depth))
-
+    start = time.perf_counter()
     try:
-        smoothed = smooth_and_normalize(raw, cfg.window)
-        init = heuristic_init(smoothed, cfg.fit)
-        mixture = fit_mixture(smoothed, init, cfg.fit)
-        fou = extract_fou(smoothed, mixture, cfg.fit)
-    except Exception as exc:
+        model = build_model(raw, cfg)
+    except PipelineStageError as exc:
         for method in METHODS:
-            report.errors[method] = f"shared fit failed: {exc}"
+            report.errors[method] = f"shared fit failed: {exc.reason}"
         return report
+    finally:
+        report.timings_ms["model"] = (time.perf_counter() - start) * 1000.0
+
+    def method_map(method):
+        *_, level_map, caught = apply_method(model, method, cfg.fuzzifier)
+        report.warnings.extend(caught)
+        return level_map
 
     for method in METHODS:
-        method_cfg = PipelineConfig(method, cfg.window, cfg.fit, cfg.fuzzifier)
-
-        def one(method_cfg=method_cfg):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                mv = _membership_values(fou, mixture, smoothed, method_cfg, None)
-                desired = _target_pdf(mv, fou)
-            report.warnings.extend(str(w.message) for w in caught)
-            return specify_map(p_in, desired)
-
-        score(method, one)
+        score(method, lambda: method_map(method))
     return report

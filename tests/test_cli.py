@@ -132,6 +132,16 @@ class TestCompareCommand:
                 entry["methods"])
             assert "input_aic" in entry
 
+    def test_model_time_reported_within_image_time(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "img.pgm"
+        save_image(population_image(rng, [(1.0, 118.0, 14.0)], size=64), path)
+        report_path = tmp_path / "cmp.json"
+        assert main(["compare", "--input", str(path),
+                     "--report", str(report_path)]) == 0
+        entry = json.loads(report_path.read_text())["images"][0]
+        assert 0 < entry["model_ms"] <= entry["ms"]
+
     def test_summary_matches_recomputation(self, tmp_path):
         rng = np.random.default_rng(2)
         paths = []

@@ -3,7 +3,6 @@ import pytest
 
 from it2hspec.gaussfit import (
     _DIVERGENCE_RUN,
-    _GRID,
     _MAX_RESTARTS,
     A_MAX,
     A_MIN,
@@ -29,7 +28,7 @@ def raw_gradient_descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
     """Reference: the literal update p -= rho * dJ/dp under fit_mixture's policy."""
 
     def state(a, mu, sg):
-        d = _GRID[None, :] - mu[:, None]
+        d = GRID[None, :] - mu[:, None]
         e = np.exp(-0.5 * (d / sg[:, None]) ** 2)
         f = a[:, None] * e
         r = f.sum(axis=0) - target
@@ -166,6 +165,8 @@ class TestFitMixture:
             (g.a, g.mu, g.sigma) for g in init.gaussians
         ]
         assert out.final_objective == pytest.approx(mixture_objective(init, h))
+        assert (init.iterations, init.restarts) == (0, 0)
+        assert (out.iterations, out.restarts) == (0, 0)
 
     def test_objective_non_increasing_in_budget(self):
         h = gaussian_series([(0.9, 90.0, 14.0), (0.6, 180.0, 22.0)])
@@ -192,7 +193,15 @@ class TestFitMixture:
         init = heuristic_init(h, FitConfig())
         fit = fit_mixture(h, init, FitConfig(rho=1e7, max_iters=2000))
         assert fit.diverged
+        assert fit.restarts == _MAX_RESTARTS == 5
         assert fit.final_objective <= mixture_objective(init, h) + 1e-12
+
+    def test_default_fit_stops_before_its_budget(self):
+        h = gaussian_series([(0.9, 70.0, 14.0), (0.7, 180.0, 18.0)])
+        cfg = FitConfig()
+        fit = fit_mixture(h, heuristic_init(h, cfg), cfg)
+        assert 0 < fit.iterations < cfg.max_iters
+        assert fit.restarts == 0 and not fit.diverged
 
     def test_translation_consistency(self):
         base = [(0.9, 70.0, 13.0), (0.7, 150.0, 16.0)]

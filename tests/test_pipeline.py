@@ -139,6 +139,8 @@ class TestRunCompare:
         img = population_image(rng, [(1.0, 115.0, 13.0)])
         report = run_compare(img, PipelineConfig(fit=LIGHT_FIT))
         assert set(report.methods) == {"he", "rmshe", *METHODS}
+        assert set(report.timings_ms) == {"he", "rmshe", "model", *METHODS}
+        assert report.timings_ms["model"] > 0
         assert report.input_aic > 0
         assert not report.errors
 
@@ -168,8 +170,21 @@ class TestRunCompare:
         report = run_compare(img, PipelineConfig(fit=LIGHT_FIT))
         for method in METHODS:
             standalone = run_enhance(img, light_cfg(method))
-            assert report.methods[method] == pytest.approx(
-                standalone.aic_out, abs=1e-12)
+            assert report.methods[method] == standalone.aic_out
+
+    def test_pixels_are_histogrammed_once(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        img = population_image(rng, [(0.6, 90.0, 12.0), (0.4, 170.0, 14.0)], size=64)
+        calls = []
+
+        def counting(image):
+            calls.append(image)
+            return compute_histogram(image)
+
+        monkeypatch.setattr("it2hspec.pipeline.compute_histogram", counting)
+        report = run_compare(img, PipelineConfig(fit=LIGHT_FIT))
+        assert not report.errors
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("img", oracle_images())
