@@ -285,21 +285,26 @@ def heuristic_init(h, cfg: FitConfig) -> MixtureFit:
     return dataclasses.replace(fit, final_objective=mixture_objective(fit, values))
 
 
-def _step_direction(d, e, f, r, sg) -> np.ndarray:
+def _step_direction(jt, eye, d, f, r, sg) -> np.ndarray:
     """Marquardt-damped Gauss-Newton direction (JtJ + diag JtJ)^-1 Jt r.
 
     Rows of jt are the residual's derivatives with respect to a, mu and
-    sigma (in that block order), so jt @ r is the objective's gradient. The
-    system is solved in variables scaled by 1/sqrt(diag JtJ): there its
-    matrix is a correlation matrix plus the identity, whose eigenvalues are
-    at least 1. A parameter with no effect on the residual gets no step.
+    sigma (in that block order), so jt @ r is the objective's gradient; the
+    a block (the bells e) is already in place and the other two are written
+    here. The system is solved in variables scaled by 1/sqrt(diag JtJ):
+    there its matrix is a correlation matrix plus the identity, whose
+    eigenvalues are at least 1. A parameter with no effect on the residual
+    gets no step. sg is a (k, 1) column.
     """
+    k = sg.shape[0]
     w = f * d
-    jt = np.concatenate((e, w / (sg * sg)[:, None], w * d / (sg ** 3)[:, None]))
+    np.divide(w, sg * sg, out=jt[k:2 * k])
+    sg_block = np.multiply(w, d, out=jt[2 * k:])
+    sg_block /= sg ** 3
     jtj = jt @ jt.T
-    norms = np.sqrt(np.diag(jtj))
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    scaled = inv[:, None] * jtj * inv[None, :] + np.eye(inv.size)
+    norms = np.sqrt(jtj.diagonal())
+    inv = 1.0 / np.where(norms > 0, norms, np.inf)
+    scaled = inv[:, None] * jtj * inv + eye
     return inv * np.linalg.solve(scaled, inv * (jt @ r))
 
 
@@ -308,26 +313,31 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
     k = a_init.size
     lo = np.repeat([A_MIN, MU_MIN, SIGMA_MIN], k)
     hi = np.repeat([A_MAX, MU_MAX, SIGMA_MAX], k)
+    eye = np.eye(3 * k)
+    jt = np.empty((3 * k, GRID.size))
+    e = jt[:k]
     p_init = np.concatenate((a_init, mu_init, sg_init))
 
     def state(p):
-        a, mu, sg = p[:k], p[k:2 * k], p[2 * k:]
-        d = GRID[None, :] - mu[:, None]
-        e = np.exp(-0.5 * (d / sg[:, None]) ** 2)
-        f = a[:, None] * e
+        col = p[:, None]
+        a, mu, sg = col[:k], col[k:2 * k], col[2 * k:]
+        d = GRID - mu
+        np.exp(-0.5 * (d / sg) ** 2, out=e)
+        f = a * e
         r = f.sum(axis=0) - target
-        return (d, e, f, r, sg), 0.5 * float(r @ r)
+        return (d, f, r, sg), 0.5 * float(r @ r)
 
-    p = p_init.copy()
+    p = p_init
     terms, j_cur = state(p)
-    best_p, best_j = p.copy(), j_cur
+    best_p, best_j = p, j_cur
     grow = restarts = iterations = 0
     diverged = False
     for iterations in range(1, max_iters + 1):
-        p = np.clip(p - rho * _step_direction(*terms), lo, hi)
+        p = p - rho * _step_direction(jt, eye, *terms)
+        np.minimum(np.maximum(p, lo, out=p), hi, out=p)
         terms, j_new = state(p)
         if j_new < best_j:
-            best_p, best_j = p.copy(), j_new
+            best_p, best_j = p, j_new
         if abs(j_new - j_cur) < tol and j_new <= best_j + tol:
             break
         # a step counts toward divergence if it grew, or stalled above the
@@ -343,7 +353,7 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
                 break
             restarts += 1
             rho *= 0.5
-            p = p_init.copy()
+            p = p_init
             terms, j_cur = state(p)
             grow = 0
     return (best_p[:k], best_p[k:2 * k], best_p[2 * k:], best_j, diverged, iterations,

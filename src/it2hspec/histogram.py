@@ -81,8 +81,20 @@ def as_series(h) -> np.ndarray:
 
 
 def compute_histogram(img: GrayImage) -> RawHistogram:
-    """Count pixels per gray level."""
-    counts = np.bincount(img.pixels, minlength=LEVELS).astype(np.int64)
+    """Count pixels per gray level.
+
+    The pixels are counted two at a time: each adjacent pair read as one
+    uint16 indexes a 256x256 table of (level, level) pairs, whose row and
+    column sums together count every paired pixel once. An odd last pixel
+    is added on its own.
+    """
+    px = img.pixels
+    even = px.size - px.size % 2
+    pairs = np.bincount(px[:even].view(np.uint16), minlength=LEVELS * LEVELS)
+    pairs = pairs.reshape(LEVELS, LEVELS)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if even < px.size:
+        counts[px[-1]] += 1
     return RawHistogram(counts, img.width * img.height)
 
 

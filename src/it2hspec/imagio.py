@@ -43,6 +43,7 @@ class GrayImage:
         # uint8 values cannot leave [0, 255], so only wider types are scanned
         if px.dtype != np.uint8 and px.size and (px.min() < 0 or px.max() > LEVELS - 1):
             raise ValueError(f"pixel values must lie in [0, {LEVELS - 1}]")
+        # astype copies even uint8 pixels, so an image never aliases its input
         object.__setattr__(self, "pixels", px.astype(np.uint8))
 
 
@@ -117,12 +118,12 @@ def load_image(path) -> GrayImage:
         raise PGMFormatError("header: missing whitespace before pixel data")
     pos += 1
     need = width * height
-    payload = data[pos:pos + need]
-    if len(payload) < need:
+    if len(data) - pos < need:
         raise PGMFormatError(
-            f"pixel data: expected {need} bytes, found {len(payload)}"
+            f"pixel data: expected {need} bytes, found {len(data) - pos}"
         )
-    return GrayImage(width, height, np.frombuffer(payload, dtype=np.uint8).copy())
+    # a read-only view of the file bytes; GrayImage makes the one copy
+    return GrayImage(width, height, np.frombuffer(data, np.uint8, need, pos))
 
 
 def save_image(img: GrayImage, path) -> None:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from it2hspec.fou import bound_functions
 from it2hspec.gaussfit import (
     _DIVERGENCE_RUN,
     _MAX_RESTARTS,
+    _arrays,
+    _pack,
     A_MAX,
     A_MIN,
     MU_MAX,
@@ -21,7 +24,8 @@ from it2hspec.gaussfit import (
     heuristic_init,
     mixture_objective,
 )
-from tests.conftest import GRID, gaussian_series
+from it2hspec.histogram import RawHistogram, smooth_and_normalize
+from tests.conftest import GRID, gaussian_series, sample_mixture_params
 
 
 def raw_gradient_descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
@@ -70,6 +74,64 @@ def raw_gradient_descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
             d, e, f, r, j_cur = state(a, mu, sg)
             grow = 0
     return best[0], best[1], best[2], best[3], diverged
+
+
+def reference_step_direction(d, e, f, r, sg) -> np.ndarray:
+    """Reference: the damped Gauss-Newton direction, one numpy call per term."""
+    w = f * d
+    jt = np.concatenate((e, w / (sg * sg)[:, None], w * d / (sg ** 3)[:, None]))
+    jtj = jt @ jt.T
+    norms = np.sqrt(np.diag(jtj))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    scaled = inv[:, None] * jtj * inv[None, :] + np.eye(inv.size)
+    return inv * np.linalg.solve(scaled, inv * (jt @ r))
+
+
+def reference_descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
+    """Reference: fit_mixture's descent written plainly, rebuilding the
+    Jacobian, bounds and identity every step; the fit must match it bit for
+    bit."""
+    k = a_init.size
+    lo = np.repeat([A_MIN, MU_MIN, SIGMA_MIN], k)
+    hi = np.repeat([A_MAX, MU_MAX, SIGMA_MAX], k)
+    p_init = np.concatenate((a_init, mu_init, sg_init))
+
+    def state(p):
+        a, mu, sg = p[:k], p[k:2 * k], p[2 * k:]
+        d = GRID[None, :] - mu[:, None]
+        e = np.exp(-0.5 * (d / sg[:, None]) ** 2)
+        f = a[:, None] * e
+        r = f.sum(axis=0) - target
+        return (d, e, f, r, sg), 0.5 * float(r @ r)
+
+    p = p_init.copy()
+    terms, j_cur = state(p)
+    best_p, best_j = p.copy(), j_cur
+    grow = restarts = iterations = 0
+    diverged = False
+    for iterations in range(1, max_iters + 1):
+        p = np.clip(p - rho * reference_step_direction(*terms), lo, hi)
+        terms, j_new = state(p)
+        if j_new < best_j:
+            best_p, best_j = p.copy(), j_new
+        if abs(j_new - j_cur) < tol and j_new <= best_j + tol:
+            break
+        if j_new > j_cur or (j_new >= j_cur and j_new > best_j):
+            grow += 1
+        else:
+            grow = 0
+        j_cur = j_new
+        if grow >= _DIVERGENCE_RUN:
+            if restarts >= _MAX_RESTARTS:
+                diverged = True
+                break
+            restarts += 1
+            rho *= 0.5
+            p = p_init.copy()
+            terms, j_cur = state(p)
+            grow = 0
+    return (best_p[:k], best_p[k:2 * k], best_p[2 * k:], best_j, diverged, iterations,
+            restarts)
 
 
 def make_fit(*params):
@@ -224,6 +286,72 @@ class TestFitMixture:
             h, np.array([0.7, 0.5]), np.array([88.0, 183.0]),
             np.array([20.0, 28.0]), cfg.rho, cfg.max_iters, cfg.tol)
         assert fit.final_objective <= reference
+
+
+def criterion_3_series():
+    rng = np.random.default_rng(20250808)
+    return [gaussian_series(sample_mixture_params(rng)) + rng.uniform(0.0, 0.02, 256)
+            for _ in range(20)]
+
+
+def shape_counts(name):
+    """Pixel counts shaped like the benchmark's harder histograms."""
+    rng = np.random.default_rng(7)
+    if name == "band-2":
+        counts = gaussian_series([(1.0, 112.0, 5.0), (0.8, 131.0, 6.0)]) * 4000
+    elif name == "spike-noise":
+        counts = rng.uniform(0, 40, 256)
+        counts[rng.choice(256, 6, replace=False)] += rng.uniform(2000, 9000, 6)
+    elif name == "sparse-levels":
+        counts = np.zeros(256)
+        counts[5::17] = rng.uniform(200, 1000, counts[5::17].size)
+    else:  # edge-mass
+        counts = gaussian_series([(1.0, 140.0, 30.0)]) * 500
+        counts[[0, 255]] += (20000, 12000)
+    counts = np.round(counts).astype(np.int64)
+    return RawHistogram(counts, int(counts.sum()))
+
+
+class TestMatchesReferenceDescent:
+    """The fit reproduces reference_descent's iterates exactly: parameters,
+    objective, iteration and restart counts and the divergence flag."""
+
+    @staticmethod
+    def assert_matches_reference(target, start, cfg):
+        fit = fit_mixture(target, start, cfg)
+        reference = _pack(*reference_descent(
+            target, *_arrays(start), cfg.rho, cfg.max_iters, cfg.tol))
+        assert fit == reference
+        return fit
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_criterion_3_corpus(self, index):
+        series = criterion_3_series()[index]
+        cfg = FitConfig()
+        self.assert_matches_reference(series, heuristic_init(series, cfg), cfg)
+
+    @pytest.mark.parametrize("shape", ["band-2", "spike-noise", "sparse-levels",
+                                       "edge-mass"])
+    def test_benchmark_shapes_fit_and_both_refits(self, shape):
+        smoothed = smooth_and_normalize(shape_counts(shape), 5)
+        cfg = FitConfig()
+        fit = self.assert_matches_reference(smoothed.h, heuristic_init(smoothed, cfg),
+                                            cfg)
+        for bound in bound_functions(smoothed, fit):
+            self.assert_matches_reference(bound, fit, cfg)
+
+    @pytest.mark.parametrize("rho, params, noise, restarts, diverged, iterations", [
+        (10.0, [(1.0, 128.0, 20.0)], 0.0, 2, False, 70),
+        (1e7, [(1.0, 128.0, 20.0)], 0.0, _MAX_RESTARTS, True, 120),
+        (5.0, [(0.9, 70.0, 14.0), (0.7, 180.0, 18.0)], 0.02, 0, False, 2000),
+    ], ids=["restarts", "diverges", "budget"])
+    def test_large_rho_restart_and_divergence_paths(self, rho, params, noise, restarts,
+                                                    diverged, iterations):
+        h = gaussian_series(params) + np.random.default_rng(0).uniform(0, noise, 256)
+        cfg = FitConfig(rho=rho, max_iters=2000)
+        fit = self.assert_matches_reference(h, heuristic_init(h, FitConfig()), cfg)
+        assert (fit.restarts, fit.diverged, fit.iterations) == (restarts, diverged,
+                                                                iterations)
 
 
 class TestReachesAndDomain:

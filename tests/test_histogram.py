@@ -37,6 +37,24 @@ class TestComputeHistogram:
         assert raw.counts.tolist() == naive_counts(img)
         assert raw.counts.sum() == 4096
 
+    @pytest.mark.parametrize("width, height, make", [
+        (64, 64, lambda rng, n: rng.integers(0, 256, n)),
+        (63, 65, lambda rng, n: rng.integers(0, 256, n)),
+        (1, 1, lambda rng, n: rng.integers(0, 256, n)),
+        (1, 255, lambda rng, n: rng.integers(0, 256, n)),
+        (37, 11, lambda rng, n: np.full(n, 201)),
+        (33, 17, lambda rng, n: rng.choice([0, 255], n)),
+        (2048, 2048, lambda rng, n: rng.integers(0, 256, n)),
+    ], ids=["even", "odd", "1x1", "1x255", "constant", "0-255-only", "2048sq"])
+    def test_counts_equal_bincount_exactly(self, width, height, make):
+        rng = np.random.default_rng(width * height)
+        img = GrayImage(width, height, make(rng, width * height).astype(np.uint8))
+        raw = compute_histogram(img)
+        expected = np.bincount(img.pixels, minlength=256)
+        assert raw.counts.dtype == np.int64
+        assert np.array_equal(raw.counts, expected)
+        assert raw.total == width * height
+
 
 class TestToProbability:
     def test_two_level_split(self):

@@ -30,6 +30,12 @@ class TestGrayImage:
         img = GrayImage(2, 1, np.array([0, 255], dtype=np.int64))
         assert img.pixels.dtype == np.uint8
 
+    def test_never_aliases_the_callers_array(self):
+        px = np.array([3, 4, 5, 6], dtype=np.uint8)
+        img = GrayImage(2, 2, px)
+        px[0] = 99
+        assert img.pixels.tolist() == [3, 4, 5, 6]
+
 
 class TestLoadImage:
     def test_decodes_small_p5(self, tmp_path):
@@ -38,6 +44,7 @@ class TestLoadImage:
         img = load_image(path)
         assert (img.width, img.height) == (2, 2)
         assert img.pixels.tolist() == [0, 85, 170, 255]
+        assert img.pixels.flags.owndata and img.pixels.flags.writeable
 
     def test_skips_header_comments(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -59,7 +66,7 @@ class TestLoadImage:
     def test_rejects_truncated_payload(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-        with pytest.raises(PGMFormatError, match="pixel data"):
+        with pytest.raises(PGMFormatError, match="expected 16 bytes, found 2"):
             load_image(path)
 
     def test_rejects_bad_width(self, tmp_path):

@@ -57,11 +57,19 @@ def test_level_map_never_adds_entropy(raw, level_map):
 @example(GrayImage(8, 8, 17 * (np.arange(64) % 16)))
 @example(GrayImage(8, 8, np.repeat([0, 255, 128, 0], 16)))
 def test_model_fit_never_worse_than_init_and_every_method_applies(img):
+    """One model per image checks every invariant below, which keeps the
+    property inside its time budget: fit <= init, lmf <= umf, and per method
+    a PDF that is non-negative and sums to 1, a monotone level map and, for
+    KM, ordered interval ends."""
     cfg = PipelineConfig(fit=FitConfig(max_iters=200))
     model = build_model(compute_histogram(img), cfg)
     init = heuristic_init(model.smoothed, cfg.fit)
     assert model.mixture.final_objective <= init.final_objective
+    assert np.all(model.fou.lmf <= model.fou.umf)
     for method in METHODS:
         mv, desired, level_map, _ = apply_method(model, method, cfg.fuzzifier)
         assert desired.p.min() >= 0
+        assert abs(float(desired.p.sum()) - 1.0) <= 1e-9
         assert np.all(np.diff(level_map.values) >= 0)
+        if method == "km":
+            assert all(c.v_left <= c.v_right for c in mv.clusters.clusters)
