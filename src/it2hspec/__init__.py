@@ -13,9 +13,7 @@ from .gaussfit import (
     FitConfig,
     Gaussian1D,
     MixtureFit,
-    compute_reaches,
     domain_map,
-    domain_of,
     eval_mixture,
     fit_mixture,
     heuristic_init,
@@ -41,7 +39,6 @@ from .imagio import (
 )
 from .membership import (
     IT2MembershipValues,
-    KMClusters,
     KMMembershipValues,
     ZeroOverlapWarning,
     km_boundary_centroid,
@@ -76,7 +73,6 @@ __all__ = [
     "Gaussian1D",
     "GrayImage",
     "IT2MembershipValues",
-    "KMClusters",
     "KMMembershipValues",
     "LEVELS",
     "LevelMap",
@@ -96,10 +92,8 @@ __all__ = [
     "apply_map",
     "bound_functions",
     "compute_histogram",
-    "compute_reaches",
     "defuzzify_mean",
     "domain_map",
-    "domain_of",
     "equalize_map",
     "eval_mixture",
     "export_series",

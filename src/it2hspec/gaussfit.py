@@ -3,20 +3,22 @@
 A histogram with several modes is modelled as a sum of symmetric 1-D bell
 curves a*exp(-(g-mu)^2/(2*sigma^2)). Initial parameters come from a
 polynomial least-squares sketch of the histogram (peak positions, heights,
-and distances to the surrounding minima/roots); fixed-length descent steps
-on the squared-residual objective then refine them. Each step follows the
-Marquardt-damped Gauss-Newton direction (JtJ + diag JtJ)^-1 Jt r, built from
-the analytic 256-row Jacobian whose rows also form the gradient Jt r.
+and distances to the surrounding minima/roots); descent on the
+squared-residual objective then refines them. Each step moves a fraction
+rho of the Marquardt-damped Gauss-Newton step (JtJ + diag JtJ)^-1 Jt r,
+built from the analytic 256-row Jacobian whose rows also form the gradient
+Jt r.
 
-The fitted mixture additionally carries:
+A mixture derives its gray-level partition from its components when it is
+built:
   * partition points: midpoints between consecutive centers, used later to
     cluster gray levels;
   * reaches: per-component integer intervals [c1, c2] where that component
     dominates every other one, found by scanning dominance between each
     pair of consecutive peaks (consecutive reaches share exactly their
-    crossover endpoint and together tile [0, 255]);
-  * a domain map assigning each gray level the smallest component index
-    whose reach contains it.
+    crossover endpoint and together tile [0, 255]).
+domain_map assigns each gray level the smallest component index whose
+reach contains it.
 """
 
 import dataclasses
@@ -40,6 +42,7 @@ _POLY_RMS_TARGET = 0.05
 _FALLBACK_SIGMA = 32.0
 _ROOT_IMAG_TOL = 1e-9
 
+_TOL = 1e-9
 _DIVERGENCE_RUN = 20
 _MAX_RESTARTS = 5
 
@@ -75,30 +78,31 @@ class FitConfig:
 
     rho: float = 0.04
     max_iters: int = 30000
-    tol: float = 1e-9
     peak_ignore_ratio: float = 0.2
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol <= 0 or self.max_iters < 0:
-            raise ValueError("rho and tol must be positive, max_iters non-negative")
+        if self.rho <= 0 or self.max_iters < 0:
+            raise ValueError("rho must be positive, max_iters non-negative")
         if not (0.0 <= self.peak_ignore_ratio < 1.0):
             raise ValueError("peak_ignore_ratio must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class MixtureFit:
-    """Fitted sum of Gaussians with partition points and dominance reaches.
+    """Fitted sum of Gaussians with the partition its components induce.
 
-    iterations counts descent steps over all restarts (0 for an init).
+    partition_points (midpoints of consecutive centers) and reaches (the
+    dominance intervals) are computed from the components when the fit is
+    built. iterations counts descent steps over all restarts (0 for an init).
     """
 
     gaussians: list
-    partition_points: list = field(default_factory=list)
-    reaches: list = field(default_factory=list)
     final_objective: float = 0.0
     diverged: bool = False
     iterations: int = 0
     restarts: int = 0
+    partition_points: list = field(init=False)
+    reaches: list = field(init=False)
 
     def __post_init__(self):
         if not self.gaussians:
@@ -106,6 +110,9 @@ class MixtureFit:
         mus = [g.mu for g in self.gaussians]
         if any(b < a for a, b in zip(mus, mus[1:])):
             raise ValueError("components must be ordered by ascending center")
+        object.__setattr__(self, "partition_points",
+                           [0.5 * (a + b) for a, b in zip(mus, mus[1:])])
+        object.__setattr__(self, "reaches", _reach_intervals(*_arrays(self)))
 
     @property
     def n_components(self) -> int:
@@ -192,30 +199,11 @@ def _pack(a, mu, sg, objective: float, diverged: bool = False, iterations: int =
     gaussians = [
         Gaussian1D(float(a[i]), float(mu[i]), float(sg[i])) for i in range(len(a))
     ]
-    partition = [0.5 * (mu[i] + mu[i + 1]) for i in range(len(mu) - 1)]
-    reaches = _reach_intervals(a, mu, sg)
-    return MixtureFit(gaussians, partition, reaches, float(objective), diverged,
-                      iterations, restarts)
-
-
-def compute_reaches(fit: MixtureFit) -> MixtureFit:
-    """Return a copy of the fit with dominance reaches recomputed."""
-    a, mu, sg = _arrays(fit)
-    return dataclasses.replace(fit, reaches=_reach_intervals(a, mu, sg))
-
-
-def domain_of(fit: MixtureFit, g: int) -> int:
-    """Smallest component index (0-based) whose reach contains g."""
-    if not fit.reaches:
-        raise ValueError("reaches have not been computed")
-    ends = np.array([r[1] for r in fit.reaches[:-1]])
-    return int(np.searchsorted(ends, g, side="left"))
+    return MixtureFit(gaussians, float(objective), diverged, iterations, restarts)
 
 
 def domain_map(fit: MixtureFit) -> np.ndarray:
-    """Domain index for every gray level 0..255."""
-    if not fit.reaches:
-        raise ValueError("reaches have not been computed")
+    """Per gray level 0..255, the smallest component index whose reach contains it."""
     ends = np.array([r[1] for r in fit.reaches[:-1]])
     return np.searchsorted(ends, GRID, side="left")
 
@@ -253,7 +241,6 @@ def heuristic_init(h, cfg: FitConfig) -> MixtureFit:
     3. Per surviving peak: height and location seed a and mu; sigma is the
        distance to the nearest polynomial minimum or real root (floored at
        0.5).
-    4. Partition points are the midpoints of consecutive centers.
 
     With no usable peaks, a single component at the histogram argmax with
     sigma 32 is used instead.
@@ -308,8 +295,8 @@ def _step_direction(jt, eye, d, f, r, sg) -> np.ndarray:
     return inv * np.linalg.solve(scaled, inv * (jt @ r))
 
 
-def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
-    """Damped Gauss-Newton steps of length rho; see fit_mixture for the policy."""
+def _descent(target, a_init, mu_init, sg_init, rho, max_iters):
+    """Steps of rho times the damped Gauss-Newton step; policy as in fit_mixture."""
     k = a_init.size
     lo = np.repeat([A_MIN, MU_MIN, SIGMA_MIN], k)
     hi = np.repeat([A_MAX, MU_MAX, SIGMA_MAX], k)
@@ -338,7 +325,7 @@ def _descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
         terms, j_new = state(p)
         if j_new < best_j:
             best_p, best_j = p, j_new
-        if abs(j_new - j_cur) < tol and j_new <= best_j + tol:
+        if abs(j_new - j_cur) < _TOL and j_new <= best_j + _TOL:
             break
         # a step counts toward divergence if it grew, or stalled above the
         # best objective seen (clamped blow-ups plateau instead of growing)
@@ -366,13 +353,14 @@ def fit_mixture(h, init: MixtureFit, cfg: FitConfig) -> MixtureFit:
     Each step moves all parameters by -rho times the Marquardt-damped
     Gauss-Newton direction (JtJ + diag JtJ)^-1 Jt r of the
     half-squared-residual objective, then clamps them back into the allowed
-    box. The descent stops when the objective changes by less than tol or
-    after max_iters steps. If the objective grows for 20 consecutive steps
-    the step fraction rho is halved and the parameters restart from init
-    (at most 5 times); after that the best parameters seen so far are
-    returned with diverged=True. The best-so-far parameters are also what a
-    normal exit returns, so the reported objective never exceeds the
-    initial one.
+    box. The descent stops when the objective changes by less than 1e-9 (and
+    is within 1e-9 of the best seen) or after max_iters steps. After 20
+    consecutive steps that each grow the objective or stall above the best
+    objective seen, the step fraction rho is halved and the parameters
+    restart from init (at most 5 times); after that the best parameters seen
+    so far are returned with diverged=True. The best-so-far parameters are
+    also what a normal exit returns, so the reported objective never exceeds
+    the initial one.
     """
     return _pack(*_descent(as_series(h), *_arrays(init), float(cfg.rho),
-                           int(cfg.max_iters), float(cfg.tol)))
+                           int(cfg.max_iters)))

@@ -56,7 +56,6 @@ class NormalizedHistogram:
     """Smoothed histogram scaled so its peak is 1 (fuzzy data source)."""
 
     h: np.ndarray
-    window: int = 1
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -66,8 +65,6 @@ class NormalizedHistogram:
             raise ValueError("series contains non-finite values")
         if h.min() < 0:
             raise ValueError("series values must be non-negative")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError("window must be an odd positive integer")
         object.__setattr__(self, "h", h)
 
 
@@ -123,4 +120,4 @@ def smooth_and_normalize(raw: RawHistogram, window: int = 5) -> NormalizedHistog
     peak = smoothed.max()
     if peak > 0:
         smoothed = smoothed / peak
-    return NormalizedHistogram(smoothed, window)
+    return NormalizedHistogram(smoothed)

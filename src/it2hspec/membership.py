@@ -64,22 +64,15 @@ class KMCluster:
 
 
 @dataclass(frozen=True)
-class KMClusters:
-    clusters: tuple
-    fuzzifier: float
-
-    def __post_init__(self):
-        if self.fuzzifier <= 1.0:
-            raise ValueError("fuzzifier must be greater than 1")
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-
-
-@dataclass(frozen=True)
 class KMMembershipValues:
-    """Type-reduced membership series, constant within each cluster."""
+    """Type-reduced membership series, constant within each cluster.
+
+    The KMCluster tuple must tile 0..255 in order, each cluster starting one
+    level after the previous one ends.
+    """
 
     mv: np.ndarray
-    clusters: KMClusters
+    clusters: tuple
 
     def __post_init__(self):
         mv = np.asarray(self.mv, dtype=float)
@@ -87,7 +80,12 @@ class KMMembershipValues:
             raise ValueError(f"membership series must have {LEVELS} values")
         if mv.min() < 0 or mv.max() > 1:
             raise ValueError("membership values must lie in [0, 1]")
+        clusters = tuple(self.clusters)
+        starts = [c.start for c in clusters]
+        if starts + [LEVELS] != [0] + [c.end + 1 for c in clusters]:
+            raise ValueError(f"clusters must tile 0..{LEVELS - 1} in order")
         object.__setattr__(self, "mv", mv)
+        object.__setattr__(self, "clusters", clusters)
 
 
 def mv_pointwise(fit: MixtureFit, h) -> np.ndarray:
@@ -230,4 +228,4 @@ def mv_km(fou: FOU, partition_points, m: float = 2.0) -> KMMembershipValues:
         records.append(
             KMCluster(start, end, v_left, v_right, v_center, u_left, u_right)
         )
-    return KMMembershipValues(mv, KMClusters(tuple(records), m))
+    return KMMembershipValues(mv, tuple(records))

@@ -1,8 +1,9 @@
 """Target PDF construction from membership values.
 
-Every formula is linear around 255: levels far from their component's peak
-(or cluster center) get a boost proportional to the membership value, levels
-near it get less. Negative excursions are clamped before normalization.
+One formula, linear around 255, serves every method: levels far from their
+component's peak (or cluster center) get a boost proportional to the
+membership value, levels near it get less. Negative excursions are clamped
+before normalization.
 """
 
 from dataclasses import dataclass
@@ -63,43 +64,41 @@ def _check_mv(mv) -> np.ndarray:
     return mv
 
 
+def _linear_pdf(mv, center, start, end) -> np.ndarray:
+    """The linear formula on per-level arrays.
+
+    Level g with membership mv, center c and interval [s, e] gets
+      g <  c: 255 + 2*mv*((c + s)/2 - g)
+      g >= c: 255 - 2*mv*((c + e)/2 - g)
+    """
+    return np.where(
+        GRID < center,
+        _TOP + 2.0 * mv * (0.5 * (center + start) - GRID),
+        _TOP - 2.0 * mv * (0.5 * (center + end) - GRID),
+    )
+
+
 def raw_pdf_it2(mv, fit: MixtureFit, source: str) -> RawPDF:
     """Linear PDF from an interval-method membership series.
 
-    For each level g with dominant component (center mu, reach [c1, c2]):
-      g <  mu: 255 + 2*mv(g)*((mu + c1)/2 - g)
-      g >= mu: 255 - 2*mv(g)*((mu + c2)/2 - g)
+    Each level takes the center mu and reach [c1, c2] of its dominant component.
     """
     if source not in ("it2_upper", "it2_lower"):
         raise ValueError("source must be 'it2_upper' or 'it2_lower'")
     mv = _check_mv(mv)
     dom = domain_map(fit)
     mus = np.array([g.mu for g in fit.gaussians])[dom]
-    starts = np.array([r[0] for r in fit.reaches], dtype=float)[dom]
-    ends = np.array([r[1] for r in fit.reaches], dtype=float)[dom]
-    below = GRID < mus
-    values = np.where(
-        below,
-        _TOP + 2.0 * mv * (0.5 * (mus + starts) - GRID),
-        _TOP - 2.0 * mv * (0.5 * (mus + ends) - GRID),
-    )
-    return RawPDF(values, source)
+    starts, ends = np.array(fit.reaches, dtype=float)[dom].T
+    return RawPDF(_linear_pdf(mv, mus, starts, ends), source)
 
 
 def raw_pdf_km(mv: KMMembershipValues) -> RawPDF:
-    """Linear PDF from Karnik-Mendel membership values, per cluster."""
-    values = np.empty(LEVELS)
-    for cluster in mv.clusters.clusters:
-        sl = slice(cluster.start, cluster.end + 1)
-        x = GRID[sl]
-        weights = mv.mv[sl]
-        below = x < cluster.v_center
-        values[sl] = np.where(
-            below,
-            _TOP + 2.0 * weights * (0.5 * (cluster.v_center + cluster.start) - x),
-            _TOP - 2.0 * weights * (0.5 * (cluster.v_center + cluster.end) - x),
-        )
-    return RawPDF(values, "km")
+    """Linear PDF from Karnik-Mendel membership values; each level takes its
+    cluster's crisp center and [start, end]."""
+    sizes = [c.end - c.start + 1 for c in mv.clusters]
+    per_cluster = [(c.v_center, c.start, c.end) for c in mv.clusters]
+    center, start, end = np.repeat(np.array(per_cluster, dtype=float), sizes, axis=0).T
+    return RawPDF(_linear_pdf(mv.mv, center, start, end), "km")
 
 
 def defuzzify_mean(upper: RawPDF, lower: RawPDF) -> RawPDF:

@@ -12,7 +12,6 @@ from it2hspec.gaussfit import (
     FitConfig,
     Gaussian1D,
     MixtureFit,
-    compute_reaches,
     fit_mixture,
     heuristic_init,
 )
@@ -143,8 +142,7 @@ def switch_centroids(x, upper, lower, m, side):
 
 def test_criterion_4_km_matches_exhaustive_enumeration():
     rng = np.random.default_rng(404)
-    anchor = compute_reaches(MixtureFit([Gaussian1D(1.0, 128.0, 20.0)], [],
-                                        [(0, 255)]))
+    anchor = MixtureFit([Gaussian1D(1.0, 128.0, 20.0)])
     worst = 0.0
     worst_degenerate = 0.0
     for case in range(50):

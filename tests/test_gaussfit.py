@@ -5,6 +5,7 @@ from it2hspec.fou import bound_functions
 from it2hspec.gaussfit import (
     _DIVERGENCE_RUN,
     _MAX_RESTARTS,
+    _TOL,
     _arrays,
     _pack,
     A_MAX,
@@ -16,9 +17,7 @@ from it2hspec.gaussfit import (
     FitConfig,
     Gaussian1D,
     MixtureFit,
-    compute_reaches,
     domain_map,
-    domain_of,
     eval_mixture,
     fit_mixture,
     heuristic_init,
@@ -135,10 +134,7 @@ def reference_descent(target, a_init, mu_init, sg_init, rho, max_iters, tol):
 
 
 def make_fit(*params):
-    gaussians = [Gaussian1D(a, mu, sigma) for a, mu, sigma in params]
-    mus = [g.mu for g in gaussians]
-    partition = [0.5 * (x + y) for x, y in zip(mus, mus[1:])]
-    return compute_reaches(MixtureFit(gaussians, partition, [(0, 255)] * len(mus)))
+    return MixtureFit([Gaussian1D(a, mu, sigma) for a, mu, sigma in params])
 
 
 class TestEvalMixture:
@@ -284,7 +280,7 @@ class TestFitMixture:
         fit = fit_mixture(h, init, cfg)
         *_, reference, _ = raw_gradient_descent(
             h, np.array([0.7, 0.5]), np.array([88.0, 183.0]),
-            np.array([20.0, 28.0]), cfg.rho, cfg.max_iters, cfg.tol)
+            np.array([20.0, 28.0]), cfg.rho, cfg.max_iters, _TOL)
         assert fit.final_objective <= reference
 
 
@@ -320,7 +316,7 @@ class TestMatchesReferenceDescent:
     def assert_matches_reference(target, start, cfg):
         fit = fit_mixture(target, start, cfg)
         reference = _pack(*reference_descent(
-            target, *_arrays(start), cfg.rho, cfg.max_iters, cfg.tol))
+            target, *_arrays(start), cfg.rho, cfg.max_iters, _TOL))
         assert fit == reference
         return fit
 
@@ -376,16 +372,15 @@ class TestReachesAndDomain:
 
     def test_domain_minimum_index_rule(self):
         fit = make_fit((1.0, 64.0, 20.0), (1.0, 192.0, 20.0))
-        assert domain_of(fit, 64) == 0
-        assert domain_of(fit, 128) == 0
-        assert domain_of(fit, 129) == 1
+        assert domain_map(fit)[64] == 0
+        assert domain_map(fit)[128] == 0
+        assert domain_map(fit)[129] == 1
 
     def test_domain_exhaustive_consistency(self):
         fit = make_fit((0.9, 40.0, 9.0), (1.0, 120.0, 30.0), (0.45, 220.0, 14.0))
         dom = domain_map(fit)
         for g in range(256):
             i = int(dom[g])
-            assert domain_of(fit, g) == i
             start, end = fit.reaches[i]
             assert start <= g <= end
             for smaller in range(i):

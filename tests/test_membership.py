@@ -6,7 +6,6 @@ from it2hspec.gaussfit import (
     FitConfig,
     Gaussian1D,
     MixtureFit,
-    compute_reaches,
     domain_map,
     fit_mixture,
     heuristic_init,
@@ -23,10 +22,7 @@ from tests.conftest import GRID, gaussian_series
 
 
 def make_fit(*params):
-    gaussians = [Gaussian1D(a, mu, sigma) for a, mu, sigma in params]
-    mus = [g.mu for g in gaussians]
-    partition = [0.5 * (x + y) for x, y in zip(mus, mus[1:])]
-    return compute_reaches(MixtureFit(gaussians, partition, [(0, 255)] * len(mus)))
+    return MixtureFit([Gaussian1D(a, mu, sigma) for a, mu, sigma in params])
 
 
 def make_fou(umf, lmf):
@@ -203,7 +199,7 @@ class TestMvKm:
         u = np.exp(-0.5 * ((GRID - 128.0) / 20.0) ** 2)
         fou = make_fou(u, u)
         result = mv_km(fou, [], 2.0)
-        cluster = result.clusters.clusters[0]
+        cluster = result.clusters[0]
         assert (cluster.start, cluster.end) == (0, 255)
         assert cluster.v_center == pytest.approx(128.0, abs=1e-6)
         assert np.allclose(result.mv, 1.0)
@@ -213,14 +209,14 @@ class TestMvKm:
              + 0.7 * np.exp(-0.5 * ((GRID - 192.0) / 12.0) ** 2))
         fou = make_fou(np.minimum(u, 1.0), 0.6 * np.minimum(u, 1.0))
         result = mv_km(fou, [128.0], 2.0)
-        assert len(result.clusters.clusters) == 2
+        assert len(result.clusters) == 2
         assert len(np.unique(result.mv)) == 2
 
     def test_clusters_tile_disjointly(self):
         u = np.full(256, 0.5)
         fou = make_fou(u, 0.25 * np.ones(256))
         result = mv_km(fou, [63.7, 140.2], 2.0)
-        clusters = result.clusters.clusters
+        clusters = result.clusters
         assert clusters[0].start == 0
         assert clusters[-1].end == 255
         for left, right in zip(clusters, clusters[1:]):
@@ -232,7 +228,7 @@ class TestMvKm:
         lower = upper * rng.uniform(0.3, 1.0, 256)
         fou = make_fou(upper, lower)
         result = mv_km(fou, [80.0, 170.0], 2.0)
-        for cluster in result.clusters.clusters:
+        for cluster in result.clusters:
             reduced = 0.5 * (cluster.left_memberships + cluster.right_memberships)
             center = int(np.floor(cluster.v_center + 0.5))
             center = min(max(center, cluster.start), cluster.end)
@@ -246,7 +242,7 @@ class TestMvKm:
         lower = upper * rng.uniform(0.2, 1.0, 256)
         fou = make_fou(upper, lower)
         result = mv_km(fou, [50.0, 120.0, 200.0], 2.0)
-        for cluster in result.clusters.clusters:
+        for cluster in result.clusters:
             assert cluster.v_left <= cluster.v_right + 1e-12
             assert cluster.start <= cluster.v_center <= cluster.end
 
@@ -268,6 +264,6 @@ class TestAgainstFittedFou:
                 assert values.min() >= 0.0 and values.max() <= 1.0
         km = mv_km(fou, fit.partition_points, 2.0)
         assert km.mv.min() >= 0.0 and km.mv.max() <= 1.0
-        for cluster in km.clusters.clusters:
+        for cluster in km.clusters:
             segment = km.mv[cluster.start:cluster.end + 1]
             assert np.allclose(segment, segment[0])

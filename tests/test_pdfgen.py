@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from it2hspec.gaussfit import Gaussian1D, MixtureFit, compute_reaches
-from it2hspec.membership import KMCluster, KMClusters, KMMembershipValues
+from it2hspec.gaussfit import Gaussian1D, MixtureFit
+from it2hspec.membership import KMCluster, KMMembershipValues
 from it2hspec.pdfgen import (
     RawPDF,
     defuzzify_mean,
@@ -13,14 +13,14 @@ from it2hspec.pdfgen import (
 
 
 def single_fit(mu=128.0, a=1.0, sigma=30.0):
-    return compute_reaches(MixtureFit([Gaussian1D(a, mu, sigma)], [], [(0, 255)]))
+    return MixtureFit([Gaussian1D(a, mu, sigma)])
 
 
 def km_values(mv, v_center=128.0, start=0, end=255):
     n = end - start + 1
     cluster = KMCluster(start, end, v_center, v_center, v_center,
                         np.ones(n), np.ones(n))
-    return KMMembershipValues(mv, KMClusters((cluster,), 2.0))
+    return KMMembershipValues(mv, (cluster,))
 
 
 class TestRawPdfIt2:
@@ -40,9 +40,7 @@ class TestRawPdfIt2:
 
     def test_bound_on_magnitude(self):
         rng = np.random.default_rng(0)
-        fit = compute_reaches(MixtureFit(
-            [Gaussian1D(0.9, 60.0, 12.0), Gaussian1D(0.8, 200.0, 25.0)],
-            [130.0], [(0, 255)] * 2))
+        fit = MixtureFit([Gaussian1D(0.9, 60.0, 12.0), Gaussian1D(0.8, 200.0, 25.0)])
         mv = rng.uniform(0, 1, 256)
         pdf = raw_pdf_it2(mv, fit, "it2_upper")
         assert np.max(np.abs(pdf.values - 255.0)) <= 2.0 * mv.max() * 256.0
@@ -90,14 +88,29 @@ class TestRawPdfKm:
         assert pdf.values[255] == pytest.approx(382.0)
 
     def test_two_clusters_piecewise(self):
-        clusters = KMClusters((
+        clusters = (
             KMCluster(0, 127, 64.0, 64.0, 64.0, np.ones(128), np.ones(128)),
             KMCluster(128, 255, 192.0, 192.0, 192.0, np.ones(128), np.ones(128)),
-        ), 2.0)
+        )
         mv = KMMembershipValues(np.full(256, 0.5), clusters)
         pdf = raw_pdf_km(mv)
         assert pdf.values[32] == pytest.approx(255.0)
         assert pdf.values[160] == pytest.approx(255.0)
+
+    @pytest.mark.parametrize("bounds", [
+        [(0, 100)],
+        [(0, 100), (102, 255)],
+        [(0, 100), (100, 255)],
+        [(101, 255), (0, 100)],
+        [(1, 255)],
+        [],
+    ], ids=["short", "gap", "overlap", "unordered", "late-start", "none"])
+    def test_clusters_must_tile_every_level(self, bounds):
+        # a level no cluster covers would get no PDF value at all
+        clusters = tuple(KMCluster(s, e, 50.0, 50.0, 50.0, np.ones(e - s + 1),
+                                   np.ones(e - s + 1)) for s, e in bounds)
+        with pytest.raises(ValueError, match="tile"):
+            KMMembershipValues(np.ones(256), clusters)
 
 
 class TestDefuzzifyMean:

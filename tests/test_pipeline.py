@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -215,6 +216,20 @@ def test_benchmark_trace_names_resolve():
     table = getattr(it2hspec.pipeline, layers.PIPELINE_MEMBERSHIP_TABLE)
     assert set(table) == set(METHODS) - {"km"}
     assert all(callable(fn) for fn in table.values())
+
+
+def test_benchmark_worker_imports_resolve():
+    """perfbench/worker.py imports these names from it2hspec at start-up; an
+    export trimmed from the package would otherwise fail every benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "it2hspec"]
+    assert any(node.module == "it2hspec" for node in imports)
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{node.module} lacks {missing}"
 
 
 class TestPipelineConfig:

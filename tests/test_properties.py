@@ -1,4 +1,5 @@
-"""Properties the math guarantees, checked on generated histograms and images.
+"""Properties the math guarantees, checked on generated histograms, mixtures
+and images.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -7,7 +8,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from it2hspec.gaussfit import FitConfig, heuristic_init
+from it2hspec.gaussfit import (
+    A_MAX,
+    MU_MAX,
+    MU_MIN,
+    SIGMA_MAX,
+    SIGMA_MIN,
+    FitConfig,
+    Gaussian1D,
+    MixtureFit,
+    domain_map,
+    heuristic_init,
+)
 from it2hspec.histogram import RawHistogram, compute_histogram, to_probability
 from it2hspec.hspec import LevelMap, map_histogram
 from it2hspec.imagio import GrayImage
@@ -25,6 +37,11 @@ def raw_histograms(draw):
     counts[list(occupied)] = list(occupied.values())
     return RawHistogram(counts, int(counts.sum()))
 
+
+components = st.lists(
+    st.tuples(st.floats(1e-6, A_MAX), st.floats(MU_MIN, MU_MAX),
+              st.floats(SIGMA_MIN, SIGMA_MAX)),
+    min_size=1, max_size=4).map(lambda params: sorted(params, key=lambda p: p[1]))
 
 monotone_maps = st.lists(st.integers(0, 255), min_size=256, max_size=256).map(
     lambda values: LevelMap(np.array(sorted(values))))
@@ -50,6 +67,23 @@ def test_level_map_never_adds_entropy(raw, level_map):
 
 
 @PROPERTY
+@given(components)
+def test_mixture_partition_tiles_the_gray_range(params):
+    fit = MixtureFit([Gaussian1D(a, mu, sigma) for a, mu, sigma in params])
+    assert fit.reaches[0][0] == 0
+    assert fit.reaches[-1][1] == 255
+    for (_, end), (start, _) in zip(fit.reaches, fit.reaches[1:]):
+        assert start == end
+    mus = [g.mu for g in fit.gaussians]
+    assert len(fit.partition_points) == len(mus) - 1
+    for left, pp, right in zip(mus, fit.partition_points, mus[1:]):
+        assert left <= pp <= right
+    for g, i in enumerate(domain_map(fit)):
+        start, end = fit.reaches[i]
+        assert start <= g <= end
+
+
+@PROPERTY
 @given(small_images())
 @example(GrayImage(8, 8, np.full(64, 93)))
 @example(GrayImage(1, 1, np.array([0])))
@@ -72,4 +106,4 @@ def test_model_fit_never_worse_than_init_and_every_method_applies(img):
         assert abs(float(desired.p.sum()) - 1.0) <= 1e-9
         assert np.all(np.diff(level_map.values) >= 0)
         if method == "km":
-            assert all(c.v_left <= c.v_right for c in mv.clusters.clusters)
+            assert all(c.v_left <= c.v_right for c in mv.clusters)
