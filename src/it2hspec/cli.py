@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     enhance.add_argument("--window", type=int, default=5,
                          help="odd smoothing window (default 5)")
     enhance.add_argument("--rho", type=float, default=_DEFAULT_FIT.rho,
-                         help="fraction of each fit step taken "
-                              f"(default {_DEFAULT_FIT.rho})")
+                         help="fraction of each mixture-fit step; the footprint "
+                              f"refits take the full step (default {_DEFAULT_FIT.rho})")
     enhance.add_argument("--iters", type=int, default=_DEFAULT_FIT.max_iters,
                          help=f"max fit iterations (default {_DEFAULT_FIT.max_iters})")
     enhance.add_argument("--m", type=float, default=2.0,

@@ -2,9 +2,12 @@
 
 The histogram values above and below the fitted curve define an upper and a
 lower bound function; refitting a Gaussian sum to each yields the upper and
-lower membership functions whose gap is the footprint of uncertainty.
+lower membership functions whose gap is the footprint of uncertainty. The
+refits start at the best-fit mixture and take the full damped Gauss-Newton
+step.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +15,9 @@ import numpy as np
 from .gaussfit import FitConfig, MixtureFit, eval_mixture, fit_mixture
 from .histogram import GRID, as_series
 from .imagio import LEVELS
+
+# the refits start at the main fit's optimum, where the step needs no shortening
+_REFIT_RHO = 1.0
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,17 @@ def extract_fou(h, fit: MixtureFit, cfg: FitConfig) -> FOU:
     """Fit Gaussian sums to the upper and lower bound functions.
 
     Both refits warm-start from the stage-1 parameters, so the component
-    count is preserved. Because the refits are independent, the evaluated
-    series can cross at a handful of levels; a final pointwise swap restores
-    lmf <= umf everywhere (the fitted parameters themselves are left as-is).
+    count is preserved, and take the full damped step (rho 1.0, whatever
+    cfg.rho is); cfg.max_iters and fit_mixture's restart and divergence
+    policy apply unchanged. Because the refits are independent, the
+    evaluated series can cross at a handful of levels; a final pointwise swap
+    restores lmf <= umf everywhere (the fitted parameters themselves are left
+    as-is).
     """
     upper, lower = bound_functions(h, fit)
-    umf_fit = fit_mixture(upper, fit, cfg)
-    lmf_fit = fit_mixture(lower, fit, cfg)
+    refit_cfg = dataclasses.replace(cfg, rho=_REFIT_RHO)
+    umf_fit = fit_mixture(upper, fit, refit_cfg)
+    lmf_fit = fit_mixture(lower, fit, refit_cfg)
     u = eval_mixture(umf_fit, GRID)
     l = eval_mixture(lmf_fit, GRID)
     return FOU(umf_fit, lmf_fit, np.maximum(u, l), np.minimum(u, l))

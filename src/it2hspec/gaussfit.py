@@ -71,7 +71,9 @@ class FitConfig:
 
     rho is the fraction of the damped Gauss-Newton step taken each
     iteration, p_new = p_old - rho * (JtJ + diag JtJ)^-1 Jt r, where J is the
-    Jacobian of the residual and Jt r the gradient dJ/dp.
+    Jacobian of the residual and Jt r the gradient dJ/dp. It sets the main
+    fit's step; the footprint refits (fou.extract_fou) take the full step
+    and use only max_iters from this config.
     peak_ignore_ratio drops initial peaks smaller than that fraction of the
     tallest polynomial value.
     """
@@ -177,8 +179,6 @@ def _reach_bounds(a, mu, sg) -> list:
             b = lo + int(hits[0])
         else:
             b = int(np.floor(0.5 * (mu[i] + mu[i + 1]) + 0.5))
-        if bounds:
-            b = max(b, bounds[-1])
         bounds.append(b)
     return bounds
 
@@ -360,7 +360,9 @@ def fit_mixture(h, init: MixtureFit, cfg: FitConfig) -> MixtureFit:
     restart from init (at most 5 times); after that the best parameters seen
     so far are returned with diverged=True. The best-so-far parameters are
     also what a normal exit returns, so the reported objective never exceeds
-    the initial one.
+    the initial one. rho is cfg.rho: 0.04 by default for the main fit from the
+    polynomial sketch, 1.0 for the footprint refits, which start at the main
+    fit's optimum.
     """
     return _pack(*_descent(as_series(h), *_arrays(init), float(cfg.rho),
                            int(cfg.max_iters)))

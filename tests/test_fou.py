@@ -3,6 +3,8 @@ import pytest
 
 from it2hspec.fou import FOU, bound_functions, extract_fou
 from it2hspec.gaussfit import FitConfig, fit_mixture, heuristic_init
+from it2hspec.histogram import RawHistogram
+from it2hspec.pipeline import PipelineConfig, build_model
 from tests.conftest import GRID, gaussian_series
 
 
@@ -109,3 +111,14 @@ class TestExtractFou:
         fit = fitted(h, cfg)
         with pytest.raises(ValueError):
             FOU(fit, fit, np.zeros(256), np.ones(256))
+
+    def test_comb_refits_converge_inside_the_budget(self):
+        # a comb whose upper refit ran out all 30000 steps at the main fit's
+        # step fraction; at the full step both refits pass the convergence test
+        counts = np.zeros(256, dtype=np.int64)
+        counts[6::13] = 500
+        cfg = PipelineConfig()
+        fou = build_model(RawHistogram(counts, int(counts.sum())), cfg).fou
+        for refit in (fou.umf_fit, fou.lmf_fit):
+            assert refit.iterations < cfg.fit.max_iters
+            assert not refit.diverged

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from it2hspec.fou import bound_functions
+from it2hspec.fou import bound_functions, extract_fou
 from it2hspec.gaussfit import (
     _DIVERGENCE_RUN,
     _MAX_RESTARTS,
@@ -333,8 +333,12 @@ class TestMatchesReferenceDescent:
         cfg = FitConfig()
         fit = self.assert_matches_reference(smoothed.h, heuristic_init(smoothed, cfg),
                                             cfg)
-        for bound in bound_functions(smoothed, fit):
-            self.assert_matches_reference(bound, fit, cfg)
+        fou = extract_fou(smoothed, fit, cfg)
+        # the refits take the full step whatever cfg.rho is
+        for refit, bound in zip((fou.umf_fit, fou.lmf_fit),
+                                bound_functions(smoothed, fit)):
+            assert refit == _pack(*reference_descent(
+                bound, *_arrays(fit), 1.0, cfg.max_iters, _TOL))
 
     @pytest.mark.parametrize("rho, params, noise, restarts, diverged, iterations", [
         (10.0, [(1.0, 128.0, 20.0)], 0.0, 2, False, 70),

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from it2hspec.fou import bound_functions
 from it2hspec.gaussfit import (
     A_MAX,
     MU_MAX,
@@ -19,6 +20,7 @@ from it2hspec.gaussfit import (
     MixtureFit,
     domain_map,
     heuristic_init,
+    mixture_objective,
 )
 from it2hspec.histogram import RawHistogram, compute_histogram, to_probability
 from it2hspec.hspec import LevelMap, map_histogram
@@ -92,13 +94,17 @@ def test_mixture_partition_tiles_the_gray_range(params):
 @example(GrayImage(8, 8, np.repeat([0, 255, 128, 0], 16)))
 def test_model_fit_never_worse_than_init_and_every_method_applies(img):
     """One model per image checks every invariant below, which keeps the
-    property inside its time budget: fit <= init, lmf <= umf, and per method
-    a PDF that is non-negative and sums to 1, a monotone level map and, for
-    KM, ordered interval ends."""
+    property inside its time budget: fit <= init, each footprint refit <= its
+    start (the main fit on its bound function), lmf <= umf, and per method a
+    PDF that is non-negative and sums to 1, a monotone level map and, for KM,
+    ordered interval ends."""
     cfg = PipelineConfig(fit=FitConfig(max_iters=200))
     model = build_model(compute_histogram(img), cfg)
     init = heuristic_init(model.smoothed, cfg.fit)
     assert model.mixture.final_objective <= init.final_objective
+    for refit, bound in zip((model.fou.umf_fit, model.fou.lmf_fit),
+                            bound_functions(model.smoothed, model.mixture)):
+        assert refit.final_objective <= mixture_objective(model.mixture, bound)
     assert np.all(model.fou.lmf <= model.fou.umf)
     for method in METHODS:
         mv, desired, level_map, _ = apply_method(model, method, cfg.fuzzifier)
